@@ -84,6 +84,12 @@ type Core struct {
 	freeMu sync.Mutex
 	freeQ  []recFree
 	freeN  atomic.Int32
+
+	// applyMu serializes this core's log appends and allocations between
+	// its own goroutine's non-request writers (cold-read promotion,
+	// deferred frees) and ReplApply on a follower: the log and CoreAlloc
+	// are single-writer, and a tiered follower has both writers.
+	applyMu sync.Mutex
 }
 
 // recFree is one deferred record-block free (a demoted value's PM copy).
@@ -111,9 +117,11 @@ func (c *Core) drainFrees() {
 		return
 	}
 	c.freeN.Add(int32(-len(q)))
+	c.applyMu.Lock()
 	for _, fr := range q {
 		c.ca.Free(fr.ptr, fr.size, c.f)
 	}
+	c.applyMu.Unlock()
 }
 
 // pendingSlot bundles the per-write allocations — the PendingOp, its log
@@ -403,64 +411,22 @@ func (c *Core) noteDone(kind int, key uint64, status uint8, t0, seal, flush, idx
 	}
 }
 
-// readEntry materializes the value behind ref: a PM log entry, or —
-// when ref carries the tier bit — a cold-tier record. key is the key
-// the caller resolved ref from; the cold path cross-checks it against
-// the record's stored key. corrupt reports bytes that failed their CRC
-// (either tier): the caller must not treat the key as merely absent.
-func (c *Core) readEntry(key uint64, ref int64) (val []byte, ok, corrupt bool) {
-	if index.Cold(ref) {
-		return c.readCold(key, ref)
+// readEntry reads key's value from the (ref, ver) an index lookup
+// returned, chasing a concurrent move (Store.chase), and counts the PM
+// reads for this core: the simulator's cost model, and — with a tier —
+// the per-chunk access signal demotion uses to keep read chunks hot.
+func (c *Core) readEntry(key uint64, ref int64, ver uint32) (resolved, int64, uint32, refStatus) {
+	r, ref, ver, s := c.st.chase(key, ref, ver)
+	if s != refGone && !index.Cold(ref) {
+		c.reads++
+		if r.blk >= 0 {
+			c.reads++
+		}
+		if c.st.tier != nil {
+			c.st.usage.noteRead(chunkOf(ref))
+		}
 	}
-	c.st.reclaimMu.RLock()
-	defer c.st.reclaimMu.RUnlock()
-	mem := c.st.arena.Mem()
-	e, _, err := oplog.Decode(mem[ref:])
-	if err != nil || e.Op != oplog.OpPut {
-		return nil, false, false
-	}
-	c.reads++
-	if c.st.tier != nil {
-		// Access tracking for demotion: a chunk whose entries are being
-		// read is hot and should be relocated, not demoted.
-		c.st.usage.noteRead(chunkOf(ref))
-	}
-	if e.Inline {
-		out := bufpool.Get(len(e.Value))
-		copy(out, e.Value)
-		return out, true, false
-	}
-	c.reads++
-	if record.Verify(c.st.arena, e.Ptr) != nil {
-		return nil, false, true
-	}
-	v := record.View(c.st.arena, e.Ptr)
-	out := bufpool.Get(len(v))
-	copy(out, v)
-	return out, true, false
-}
-
-// readCold reads a tier-resident record. The segment bloom is consulted
-// first so a stale ref (segment compacted away underneath a scan) costs
-// no disk read; the record's CRC and stored key must both check out or
-// the read fails closed as corrupt.
-func (c *Core) readCold(key uint64, ref int64) (val []byte, ok, corrupt bool) {
-	t := c.st.tier
-	if t == nil {
-		// A cold ref with no tier configured is unresolvable: fail
-		// closed rather than invent a miss.
-		return nil, false, true
-	}
-	if !t.SegmentMayContain(ref, key) {
-		return nil, false, false
-	}
-	k, _, v, err := t.Get(ref)
-	if err != nil || k != key {
-		return nil, false, true
-	}
-	out := bufpool.Get(len(v))
-	copy(out, v)
-	return out, true, false
+	return r, ref, ver, s
 }
 
 // quarantine removes key from the index and records it as corrupt, with
@@ -503,54 +469,33 @@ func (c *Core) quarantineLocked(key uint64, ver uint32) {
 
 func (c *Core) respondGet(req rpc.Request, client int, t0 int64) {
 	resp := rpc.Response{ID: req.ID, Status: rpc.StatusNotFound}
-	for attempt := 0; attempt < 4; attempt++ {
-		c.idxMu.Lock()
-		ref, ver, ok := c.idx.Get(req.Key)
-		_, quarantined := c.quar[req.Key]
-		c.idxMu.Unlock()
-		if quarantined {
-			resp.Status = rpc.StatusCorrupt
-			break
-		}
-		if !ok {
-			break
-		}
-		v, vok, corrupt := c.readEntry(req.Key, ref)
-		if (corrupt || !vok) && c.refMoved(req.Key, ref) {
-			// The record moved underneath us (GC relocation, demotion,
-			// promotion, or tier compaction repointed the key between
-			// the index lookup and the read): chase the fresh ref.
-			continue
-		}
-		switch {
-		case corrupt:
+	c.idxMu.Lock()
+	ref, ver, ok := c.idx.Get(req.Key)
+	_, quarantined := c.quar[req.Key]
+	c.idxMu.Unlock()
+	switch {
+	case quarantined:
+		resp.Status = rpc.StatusCorrupt
+	case ok:
+		r, ref, ver, s := c.readEntry(req.Key, ref, ver)
+		switch s {
+		case refCorrupt:
 			// Detected on the read path (rot since the last scrub):
 			// quarantine now rather than serve garbage or a false miss.
 			c.quarantine(req.Key, ver)
 			c.st.noteChecksumErrors(1)
 			resp.Status = rpc.StatusCorrupt
-		case vok:
+		case refOK:
 			if index.Cold(ref) {
 				// Transparent promotion: the cold record is being read,
 				// so bring it back to the hot tier (best effort).
-				c.promote(req.Key, ref, ver, v)
+				c.promote(req.Key, ref, ver, r.val)
 			}
-			resp = rpc.Response{ID: req.ID, Status: rpc.StatusOK, Value: v}
+			resp = rpc.Response{ID: req.ID, Status: rpc.StatusOK, Value: r.val}
 		}
-		break
 	}
 	c.noteDone(obs.KindGet, req.Key, resp.Status, t0, 0, 0, 0)
 	c.outbox = append(c.outbox, Outgoing{client, resp})
-}
-
-// refMoved reports whether the index no longer maps key to ref — a read
-// that failed against ref should then retry rather than conclude
-// missing/corrupt.
-func (c *Core) refMoved(key uint64, ref int64) bool {
-	c.idxMu.Lock()
-	cur, _, ok := c.idx.Get(key)
-	c.idxMu.Unlock()
-	return ok && cur != ref
 }
 
 // promote re-appends a tier-resident value to this core's PM log under
@@ -560,6 +505,8 @@ func (c *Core) refMoved(key uint64, ref int64) bool {
 // same (version, value) the tier holds keeps every recovery resolution
 // correct whichever copy it picks.
 func (c *Core) promote(key uint64, coldRef int64, ver uint32, val []byte) {
+	c.applyMu.Lock()
+	defer c.applyMu.Unlock()
 	e := oplog.Entry{Op: oplog.OpPut, Version: ver, Key: key}
 	var blk int64 = -1
 	if len(val) == 0 || len(val) > c.st.cfg.InlineMax {
@@ -632,24 +579,9 @@ func (c *Core) respondScan(req rpc.Request, client int, t0 int64) {
 	// The index orders keys across both tiers, so a single index walk
 	// yields a globally ordered, duplicate-free merge: readEntry resolves
 	// each ref to PM bytes or a cold segment read as the tier bit says.
-	ordered.Scan(req.Key, req.ScanHi, func(k uint64, ref int64, _ uint32) bool {
-		v, vok, _ := c.readEntry(k, ref)
-		for attempt := 0; !vok && attempt < 3; attempt++ {
-			// The record may have moved mid-scan (GC relocation,
-			// demotion, tier compaction): re-resolve under the owning
-			// core's index lock and retry before skipping the key.
-			oc := c.st.cores[c.st.CoreOf(k)]
-			oc.idxMu.Lock()
-			ref2, _, ok2 := oc.idx.Get(k)
-			oc.idxMu.Unlock()
-			if !ok2 || ref2 == ref {
-				break
-			}
-			ref = ref2
-			v, vok, _ = c.readEntry(k, ref)
-		}
-		if vok {
-			pairs = append(pairs, rpc.Pair{Key: k, Value: v})
+	ordered.Scan(req.Key, req.ScanHi, func(k uint64, ref int64, ver uint32) bool {
+		if r, _, _, s := c.readEntry(k, ref, ver); s == refOK {
+			pairs = append(pairs, rpc.Pair{Key: k, Value: r.val})
 		}
 		return len(pairs) < limit
 	})
@@ -936,96 +868,11 @@ func (c *Core) complete(op *batch.PendingOp) {
 		if ctx.ackErr {
 			status = rpc.StatusError
 		}
-		// Identify what this op supersedes at apply time: with writes
-		// pipelining per key, the superseded entry is whatever the
-		// index points at just before this update (completions apply
-		// in version order on the owning core).
-		var oldRef, oldPtr int64 = -1, -1
-		var oldSize, oldLen int
-		rotted, oldCold := false, false
-		c.idxMu.Lock()
-		if ref, _, ok := c.idx.Get(ctx.key); ok {
-			oldRef = ref
-			if index.Cold(ref) {
-				// The superseded copy lives in the cold tier: nothing in
-				// the arena to decode or free — mark the segment record
-				// dead after the index update instead.
-				oldCold = true
-			} else {
-				c.st.reclaimMu.RLock()
-				if e, n, err := oplog.Decode(c.st.arena.Mem()[oldRef:]); err == nil && e.Op == oplog.OpPut {
-					oldSize = n
-					if !e.Inline {
-						// Verify before freeing: a rotted length would derive
-						// the wrong size class and corrupt the allocator. A
-						// block whose record rotted is leaked instead (salvage
-						// recovery reclaims it as unreferenced).
-						if record.Verify(c.st.arena, e.Ptr) == nil {
-							oldPtr = e.Ptr
-							oldLen = record.Size(record.Len(c.st.arena, e.Ptr))
-						} else {
-							rotted = true
-						}
-					}
-				}
-				c.st.reclaimMu.RUnlock()
-			}
-		}
-		switch ctx.op {
-		case rpc.OpPut:
-			c.idx.Put(ctx.key, off, ctx.version)
-			m := c.reg[ctx.key]
-			if oldRef >= 0 && !oldCold {
-				if m == nil {
-					m = &keyMeta{}
-					c.reg[ctx.key] = m
-				}
-				m.stale++
-			}
-			if m != nil {
-				m.lastVer = ctx.version
-				m.deleted = false
-			}
-		case rpc.OpDelete:
-			c.idx.Delete(ctx.key)
-			m := c.reg[ctx.key]
-			if m == nil {
-				m = &keyMeta{}
-				c.reg[ctx.key] = m
-			}
-			if oldRef >= 0 && !oldCold {
-				m.stale++
-			}
-			m.lastVer = ctx.version
-			m.deleted = true
-		}
-		cleared := false
-		if _, ok := c.quar[ctx.key]; ok {
-			// The acknowledged overwrite (or tombstone) supersedes whatever
-			// the corruption destroyed: the quarantine has served its
-			// purpose.
-			delete(c.quar, ctx.key)
-			cleared = true
-		}
-		c.idxMu.Unlock()
+		// What this op supersedes is whatever the index points at just
+		// before this update: with writes pipelining per key, completions
+		// apply in version order on the owning core.
+		c.supersede(c.f, ctx.key, off, ctx.version, ctx.op == rpc.OpDelete)
 		tIdx = c.st.obs.Now()
-		if cleared {
-			c.st.noteQuarantineClears(1)
-		}
-		if rotted {
-			c.st.noteChecksumErrors(1)
-		}
-		if oldCold {
-			c.st.tier.MarkDead(oldRef)
-		} else if oldRef >= 0 {
-			c.st.usage.markDead(chunkOf(oldRef), oldSize)
-		}
-		if oldPtr >= 0 {
-			// Freed blocks are immediately reusable: parked readers of
-			// this key are released only after the whole in-flight
-			// window drains ("read-after-delete" cannot occur, §3.2).
-			c.ca.Free(oldPtr, oldLen, c.f)
-		}
 	}
 	kind := obs.KindPut
 	if ctx.op == rpc.OpDelete {

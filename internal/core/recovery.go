@@ -13,7 +13,6 @@ import (
 	"flatstore/internal/index/masstree"
 	"flatstore/internal/oplog"
 	"flatstore/internal/pmem"
-	"flatstore/internal/record"
 	"flatstore/internal/rpc"
 	"flatstore/internal/tier"
 )
@@ -610,11 +609,11 @@ func (st *Store) openCrash() error {
 	var rescues []rescue
 	condemn := func(key uint64, ver uint32) {
 		// Before quarantining, try the cold tier: an exact-version
-		// record that verifies end to end can stand in for the lost PM
+		// record that verifies end to end can stand in for the lost
 		// copy. The index repoint is deferred — mutating during Range
 		// is not safe.
 		if a, ok := tierByKey[key]; ok && a.ver == ver {
-			if k, v, _, err := st.tier.Get(a.ref); err == nil && k == key && v == ver {
+			if _, s := st.resolveRef(key, ver, a.ref, false); s == refOK {
 				rescues = append(rescues, rescue{key: key, ref: a.ref, ver: ver})
 				return
 			}
@@ -622,33 +621,18 @@ func (st *Store) openCrash() error {
 		badRefs = append(badRefs, badRef{key, ver})
 	}
 	markLive := func(key uint64, ref int64, ver uint32) bool {
-		if index.Cold(ref) {
-			// Tier-resident entries verify through the tier's own
-			// CRC-checked read path; they reference no arena blocks and
-			// contribute no log bytes.
-			k, v, _, err := st.tier.Get(ref)
-			if err != nil || k != key || v != ver {
-				badRefs = append(badRefs, badRef{key, ver})
-			}
-			return true
-		}
-		e, n, err := oplog.Decode(arena.Mem()[ref:])
-		if err != nil || e.Op != oplog.OpPut || e.Key != key {
+		// Tier-resident entries reference no arena blocks and contribute
+		// no log bytes; PM entries re-mark their record block.
+		r, s := st.resolveRef(key, ver, ref, false)
+		switch {
+		case s != refOK:
 			condemn(key, ver)
-			return true
+		case index.Cold(ref):
+		case r.blk >= 0 && al.RecoverMark(r.blk, r.blkSize) == alloc.MarkDangling:
+			condemn(key, ver)
+		default:
+			liveBytes[chunkOf(ref)] += int64(r.size)
 		}
-		if !e.Inline {
-			vlen, ok := record.LenBounded(arena, e.Ptr)
-			if !ok || record.Verify(arena, e.Ptr) != nil {
-				condemn(key, ver)
-				return true
-			}
-			if al.RecoverMark(e.Ptr, record.Size(vlen)) == alloc.MarkDangling {
-				condemn(key, ver)
-				return true
-			}
-		}
-		liveBytes[chunkOf(ref)] += int64(n)
 		return true
 	}
 	if st.tree != nil {

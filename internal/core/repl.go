@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flatstore/internal/bufpool"
 	"flatstore/internal/oplog"
 	"flatstore/internal/pmem"
 	"flatstore/internal/record"
@@ -17,9 +18,9 @@ import (
 // Replication support: the hooks a replication controller (internal/repl)
 // needs from the engine. The store itself stays replication-agnostic — it
 // exposes a seal hook (every durable batch, before its ops are
-// acknowledged), an apply path that mirrors recovery's version-gated
-// replay, a consistent live-key capture for follower bootstrap, and a
-// durable (epoch, position) slot in the superblock.
+// acknowledged), a version-gated apply path, a consistent live-key
+// capture for follower bootstrap, and a durable (epoch, position) slot in
+// the superblock.
 
 // SealHook observes every sealed-and-durable oplog batch before any of
 // its ops are acknowledged. The entries (and the records they point at)
@@ -65,13 +66,11 @@ func (st *Store) EntryValue(e *oplog.Entry) ([]byte, error) {
 	if e.Op != oplog.OpPut {
 		return nil, nil
 	}
-	if e.Inline {
-		return e.Value, nil
+	var r resolved
+	if st.resolveEntry(e, &r) != refOK {
+		return nil, record.ErrCorrupt
 	}
-	if err := record.Verify(st.arena, e.Ptr); err != nil {
-		return nil, err
-	}
-	return record.View(st.arena, e.Ptr), nil
+	return r.val, nil
 }
 
 // ReplInFlight reports how many sealed ops have not finished their
@@ -101,21 +100,21 @@ func (st *Store) ReplQuiesce(timeout time.Duration) error {
 // needs no locking.
 func (st *Store) ReplFlusher() *pmem.Flusher { return st.arena.NewFlusher() }
 
-// ReplApply applies one replicated operation through the same
-// version-gated path recovery replay uses: the op is appended to the
-// owning core's log (so a promoted follower recovers like any primary),
-// the index/registry/quarantine bookkeeping mirrors the volatile phase
-// of a local write, and stale deliveries (snapshot overlap, refetches)
-// are dropped by the version gate.
+// ReplApply applies one replicated operation: the op is appended to the
+// owning core's log (so a promoted follower recovers like any primary)
+// and installed through supersede, the volatile phase local writes use.
+// Stale deliveries (snapshot overlap, refetches) are dropped by a version
+// gate, as in recovery replay.
 //
 // Only a single goroutine may call ReplApply, and never concurrently
 // with local writes: the follower's cores serve reads only, so the repl
-// goroutine is the sole appender to each core's log and the sole user
-// of each core's allocation context. op is rpc.OpPut or rpc.OpDelete.
+// goroutine is the sole request-path appender to each core's log. A
+// core's own cold-read promotions and deferred frees are excluded by its
+// applyMu. op is rpc.OpPut or rpc.OpDelete.
 func (st *Store) ReplApply(f *pmem.Flusher, op uint8, key uint64, ver uint32, val []byte) error {
 	c := st.cores[st.CoreOf(key)]
 
-	// Version gate: apply only strictly newer state, mirroring replay.
+	// Version gate: apply only strictly newer state.
 	c.idxMu.Lock()
 	var cur uint32
 	if _, v, ok := c.idx.Get(key); ok {
@@ -132,6 +131,8 @@ func (st *Store) ReplApply(f *pmem.Flusher, op uint8, key uint64, ver uint32, va
 		return nil
 	}
 
+	c.applyMu.Lock()
+	defer c.applyMu.Unlock()
 	var e oplog.Entry
 	e.Key = key
 	e.Version = ver
@@ -161,71 +162,7 @@ func (st *Store) ReplApply(f *pmem.Flusher, op uint8, key uint64, ver uint32, va
 	}
 	c.accountAppend(off, e.EncodedSize())
 
-	// Volatile phase, mirroring Core.complete.
-	var oldRef, oldPtr int64 = -1, -1
-	var oldSize, oldLen int
-	rotted := false
-	c.idxMu.Lock()
-	if ref, _, ok := c.idx.Get(key); ok {
-		oldRef = ref
-		st.reclaimMu.RLock()
-		if oe, n, derr := oplog.Decode(st.arena.Mem()[oldRef:]); derr == nil && oe.Op == oplog.OpPut {
-			oldSize = n
-			if !oe.Inline {
-				if record.Verify(st.arena, oe.Ptr) == nil {
-					oldPtr = oe.Ptr
-					oldLen = record.Size(record.Len(st.arena, oe.Ptr))
-				} else {
-					rotted = true
-				}
-			}
-		}
-		st.reclaimMu.RUnlock()
-	}
-	m := c.reg[key]
-	if op == rpc.OpPut {
-		c.idx.Put(key, off, ver)
-		if oldRef >= 0 && m == nil {
-			m = &keyMeta{}
-			c.reg[key] = m
-		}
-		if m != nil {
-			if oldRef >= 0 {
-				m.stale++
-			}
-			m.lastVer = ver
-			m.deleted = false
-		}
-	} else {
-		c.idx.Delete(key)
-		if m == nil {
-			m = &keyMeta{}
-			c.reg[key] = m
-		}
-		if oldRef >= 0 {
-			m.stale++
-		}
-		m.lastVer = ver
-		m.deleted = true
-	}
-	cleared := false
-	if _, ok := c.quar[key]; ok {
-		delete(c.quar, key)
-		cleared = true
-	}
-	c.idxMu.Unlock()
-	if cleared {
-		st.noteQuarantineClears(1)
-	}
-	if rotted {
-		st.noteChecksumErrors(1)
-	}
-	if oldRef >= 0 {
-		st.usage.markDead(chunkOf(oldRef), oldSize)
-	}
-	if oldPtr >= 0 {
-		c.ca.Free(oldPtr, oldLen, f)
-	}
+	c.supersede(f, key, off, ver, op == rpc.OpDelete)
 	return nil
 }
 
@@ -233,10 +170,10 @@ func (st *Store) ReplApply(f *pmem.Flusher, op uint8, key uint64, ver uint32, va
 // value) for follower bootstrap. The caller should ReplQuiesce first so
 // the capture covers everything up to its chosen stream position;
 // batches sealed during the capture overlap it harmlessly (the
-// follower's version gate drops duplicates). The emitted value aliases
-// the arena or a scratch buffer — emit must copy what it keeps. Keys
-// whose record rotted at rest are skipped (the follower simply lacks
-// them, as if quarantined).
+// follower's version gate drops duplicates). Cold keys are read from
+// their segments. The emitted value is a scratch buffer reused after emit
+// returns — emit must copy what it keeps. Keys whose record rotted at
+// rest are skipped (the follower simply lacks them, as if quarantined).
 func (st *Store) CaptureReplSnapshot(emit func(key uint64, ver uint32, val []byte) error) error {
 	type kv struct {
 		key uint64
@@ -262,44 +199,17 @@ func (st *Store) CaptureReplSnapshot(emit func(key uint64, ver uint32, val []byt
 	}
 
 	for _, k := range pending {
-		c := st.cores[st.CoreOf(k.key)]
-		emitted := false
-		for attempt := 0; attempt < 3 && !emitted; attempt++ {
-			if attempt > 0 {
-				// The ref went stale (cleaner relocation): re-resolve.
-				c.idxMu.Lock()
-				ref, ver, ok := c.idx.Get(k.key)
-				c.idxMu.Unlock()
-				if !ok {
-					// Deleted during capture; the tombstone's batch is
-					// past the snapshot position and will be refetched.
-					emitted = true
-					break
-				}
-				k.ref, k.ver = ref, ver
-			}
-			st.reclaimMu.RLock()
-			e, _, err := oplog.Decode(st.arena.Mem()[k.ref:])
-			if err != nil || e.Op != oplog.OpPut {
-				st.reclaimMu.RUnlock()
-				continue
-			}
-			var val []byte
-			if e.Inline {
-				val = e.Value
-			} else {
-				if record.Verify(st.arena, e.Ptr) != nil {
-					st.reclaimMu.RUnlock()
-					continue
-				}
-				val = record.View(st.arena, e.Ptr)
-			}
-			err = emit(k.key, k.ver, val)
-			st.reclaimMu.RUnlock()
-			if err != nil {
-				return err
-			}
-			emitted = true
+		// A key deleted during the capture reads as gone: its
+		// tombstone's batch is past the snapshot position and will be
+		// refetched.
+		r, _, ver, s := st.chase(k.key, k.ref, k.ver)
+		if s != refOK {
+			continue
+		}
+		err := emit(k.key, ver, r.val)
+		bufpool.Put(r.val)
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -4,7 +4,6 @@ import (
 	"flatstore/internal/index"
 	"flatstore/internal/oplog"
 	"flatstore/internal/pmem"
-	"flatstore/internal/record"
 )
 
 // ScrubResult summarizes one scrubber pass.
@@ -105,25 +104,22 @@ func (st *Store) ScrubOnce() ScrubResult {
 		st.unlockAllIdx()
 	}
 
-	// Pass 3: re-verify live out-of-place records. Snapshot (key, ref,
-	// version) triples first, then verify in bounded lock holds, skipping
-	// any key whose reference moved in the meantime.
+	// Pass 3: re-verify every live ref through the resolver: out-of-place
+	// records against their CRC, cold records through the tier's
+	// CRC-checked read (inline values are covered by the batch trailer in
+	// pass 1). Snapshot (key, ref, version) triples first and resolve
+	// without the index lock — no lock is held across a disk pread; a
+	// failure only sticks if (ref, version) is still the key's index
+	// entry when re-checked under the lock.
 	type liveRef struct {
 		key uint64
 		ref int64
 		ver uint32
 	}
 	var refs []liveRef
-	var coldRefs []liveRef
 	st.lockAllIdx()
 	collect := func(key uint64, ref int64, ver uint32) bool {
-		// Cold refs name segment records, not arena bytes: they verify
-		// in pass 4 through the tier's read path, never against mem.
-		if index.Cold(ref) {
-			coldRefs = append(coldRefs, liveRef{key, ref, ver})
-		} else {
-			refs = append(refs, liveRef{key, ref, ver})
-		}
+		refs = append(refs, liveRef{key, ref, ver})
 		return true
 	}
 	if st.tree != nil {
@@ -135,57 +131,26 @@ func (st *Store) ScrubOnce() ScrubResult {
 	}
 	st.unlockAllIdx()
 
-	const scrubStride = 512
-	for lo := 0; lo < len(refs); lo += scrubStride {
-		hi := lo + scrubStride
-		if hi > len(refs) {
-			hi = len(refs)
+	for _, lr := range refs {
+		cold := index.Cold(lr.ref)
+		r, s := st.resolveRef(lr.key, lr.ver, lr.ref, false)
+		switch {
+		case cold:
+			res.TierRecords++
+		case r.blk >= 0:
+			res.Records++
 		}
-		st.lockAllIdx()
-		st.reclaimMu.RLock()
-		mem := st.arena.Mem()
-		var bad []liveRef
-		for _, lr := range refs[lo:hi] {
-			oc := st.cores[st.CoreOf(lr.key)]
-			cur, ver, ok := oc.idx.Get(lr.key)
-			if !ok || cur != lr.ref || ver != lr.ver {
-				continue // overwritten or deleted since the snapshot
-			}
-			e, _, err := oplog.Decode(mem[lr.ref:])
-			switch {
-			case err != nil || e.Op != oplog.OpPut:
-				bad = append(bad, lr) // the entry itself no longer decodes
-			case e.Inline:
-				// Inline values are covered by the batch trailer (pass 1).
-			case record.Verify(st.arena, e.Ptr) != nil:
-				res.Records++
-				bad = append(bad, lr)
-			default:
-				res.Records++
-			}
-		}
-		st.reclaimMu.RUnlock()
-		for _, lr := range bad {
-			res.CorruptRecords++
-			st.cores[st.CoreOf(lr.key)].quarantineLocked(lr.key, lr.ver)
-			res.KeysQuarantined++
-		}
-		st.unlockAllIdx()
-	}
-
-	// Pass 4: re-verify live cold-tier records via the tier's CRC-checked
-	// read path. No index lock is held across the disk pread; the verdict
-	// only sticks if the ref is still current when re-checked.
-	for _, lr := range coldRefs {
-		k, v, _, err := st.tier.Get(lr.ref)
-		res.TierRecords++
-		if err == nil && k == lr.key && v == lr.ver {
+		if s == refOK {
 			continue
 		}
 		oc := st.cores[st.CoreOf(lr.key)]
 		oc.idxMu.Lock()
 		if cur, ver, ok := oc.idx.Get(lr.key); ok && cur == lr.ref && ver == lr.ver {
-			res.CorruptTierRecords++
+			if cold {
+				res.CorruptTierRecords++
+			} else {
+				res.CorruptRecords++
+			}
 			oc.quarantineLocked(lr.key, lr.ver)
 			res.KeysQuarantined++
 		}

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"flatstore/internal/core"
 	"flatstore/internal/netfault"
 	"flatstore/internal/obs"
+	"flatstore/internal/rpc"
 	"flatstore/internal/tcp"
 )
 
@@ -25,17 +27,22 @@ type fnode struct {
 	addr string // client-facing address
 }
 
-// startServing builds a serving cluster member. When in is non-nil the
-// client listener is wrapped with the fault injector, so partitions and
+// startServing builds a serving cluster member over an engine built from
+// ccfg. A set ccfg.Tier.Dir only switches tiering on: every member gets
+// its own fresh cold-tier directory. When in is non-nil the client
+// listener is wrapped with the fault injector, so partitions and
 // probabilistic faults hit this node's client traffic.
-func startServing(t *testing.T, in *netfault.Injector, primaryRepl string) *fnode {
+func startServing(t *testing.T, in *netfault.Injector, primaryRepl string, ccfg core.Config) *fnode {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := lis.Addr().String()
-	st, err := core.New(core.Config{Cores: 2, Mode: batch.ModePipelinedHB})
+	if ccfg.Tier.Dir != "" {
+		ccfg.Tier.Dir = t.TempDir()
+	}
+	st, err := core.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +96,20 @@ type workerState struct {
 // fenced out-of-band. Workers keep writing throughout with multi-address
 // clients that follow NotPrimary redirects; a fresh client then audits
 // that every acknowledged write survived and epochs moved monotonically.
-func runFailover(t *testing.T, fcfg netfault.Config, pre, post time.Duration) {
+// coldKeys keys written before the workers start give every node's log
+// closed chunks for its cleaner to demote; the audit covers them too.
+func runFailover(t *testing.T, ccfg core.Config, coldKeys int, fcfg netfault.Config, pre, post time.Duration) {
 	inA := netfault.NewInjector(fcfg)
-	a := startServing(t, inA, "")
+	a := startServing(t, inA, "", ccfg)
 	proxy, err := netfault.NewProxy(a.n.ListenAddr(), inA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { proxy.Close() })
-	b := startServing(t, nil, proxy.Addr())
-	c := startServing(t, nil, proxy.Addr())
+	b := startServing(t, nil, proxy.Addr(), ccfg)
+	c := startServing(t, nil, proxy.Addr(), ccfg)
+
+	cold := prefill(t, a.st, coldKeys)
 
 	addrs := strings.Join([]string{a.addr, b.addr, c.addr}, ",")
 	opts := tcp.Options{
@@ -212,6 +223,21 @@ func runFailover(t *testing.T, fcfg netfault.Config, pre, post time.Duration) {
 	}
 	t.Logf("failover audit: epoch %d -> %d, winner pos %d, %d workers clean",
 		oldEpoch, winner.n.Epoch(), winner.n.Pos(), nw)
+	wcl := winner.st.Connect()
+	defer wcl.Close()
+	for k, want := range cold {
+		v, ok, err := wcl.Get(k)
+		if err != nil || !ok || !bytes.Equal(v, want) {
+			t.Fatalf("prefilled key %#x after failover: ok=%v err=%v", k, ok, err)
+		}
+	}
+	if tr := winner.st.Tier(); tr != nil {
+		ts := tr.Stats()
+		t.Logf("winner tier: demoted %d, promoted %d, dead %d", ts.Demoted, ts.Promoted, ts.DeadRecords)
+		if ts.Demoted == 0 {
+			t.Fatal("the promoted follower never demoted: the tiered case proved nothing")
+		}
+	}
 
 	// CI keeps the post-failover metrics (replication lag, epoch, apply
 	// counters) of the surviving primary as an artifact.
@@ -229,11 +255,56 @@ func runFailover(t *testing.T, fcfg netfault.Config, pre, post time.Duration) {
 	}
 }
 
+// pmNode is the default cluster member engine.
+var pmNode = core.Config{Cores: 2, Mode: batch.ModePipelinedHB}
+
+// prefill writes n self-identifying 250-byte values (inline, so
+// demotable) through the primary's engine and returns them.
+func prefill(t *testing.T, st *core.Store, n int) map[uint64][]byte {
+	t.Helper()
+	cl := st.Connect()
+	defer cl.Close()
+	vals := map[uint64][]byte{}
+	reqs := make([]rpc.Request, 0, 256)
+	for i := 0; i < n; {
+		reqs = reqs[:0]
+		for ; i < n && len(reqs) < cap(reqs); i++ {
+			k := uint64(1<<32 + i)
+			v := make([]byte, 250)
+			binary.LittleEndian.PutUint64(v, k)
+			vals[k] = v
+			reqs = append(reqs, rpc.Request{Op: rpc.OpPut, Key: k, Value: v})
+		}
+		for j, resp := range cl.Batch(reqs) {
+			if resp.Status != rpc.StatusOK {
+				t.Fatalf("prefill put %#x: status %d", reqs[j].Key, resp.Status)
+			}
+		}
+	}
+	return vals
+}
+
 // TestLinearizabilityAcrossFailover is the acceptance gate: a forced
 // primary partition mid-write-load, follower promotion, transparent
-// client redirect, and zero lost acknowledged writes.
+// client redirect, and zero lost acknowledged writes — on PM-only nodes
+// and on tiered nodes whose cleaners demote under constant pressure.
 func TestLinearizabilityAcrossFailover(t *testing.T) {
-	runFailover(t, netfault.Config{}, 1200*time.Millisecond, 1500*time.Millisecond)
+	tiered := pmNode
+	tiered.GC.Enabled = true
+	tiered.Tier = core.TierConfig{Dir: "per-node", DemoteFreeChunks: 1 << 10}
+	for _, tc := range []struct {
+		name     string
+		cfg      core.Config
+		coldKeys int
+	}{
+		{"pm", pmNode, 0},
+		// 40k x 250 B closes a 4 MiB log chunk on each core.
+		{"tiered", tiered, 40_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runFailover(t, tc.cfg, tc.coldKeys, netfault.Config{}, 1200*time.Millisecond, 1500*time.Millisecond)
+		})
+	}
 }
 
 // TestReplChaosSoak layers probabilistic wire faults (resets, delays,
@@ -243,7 +314,7 @@ func TestReplChaosSoak(t *testing.T) {
 	if os.Getenv("FLATSTORE_SOAK") == "" {
 		t.Skip("set FLATSTORE_SOAK=1 to run the replication chaos soak")
 	}
-	runFailover(t, netfault.Config{
+	runFailover(t, pmNode, 0, netfault.Config{
 		Seed:        7,
 		ResetProb:   0.001,
 		DelayProb:   0.01,

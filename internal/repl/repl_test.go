@@ -33,7 +33,13 @@ func startFollower(t *testing.T, primaryRepl string, mut func(*Config)) *testNod
 
 func startNode(t *testing.T, primaryRepl string, mut func(*Config)) *testNode {
 	t.Helper()
-	st, err := core.New(core.Config{Cores: 2, Mode: batch.ModePipelinedHB})
+	return startNodeOn(t, primaryRepl, core.Config{Cores: 2, Mode: batch.ModePipelinedHB}, mut)
+}
+
+// startNodeOn is startNode over an engine built from ccfg.
+func startNodeOn(t *testing.T, primaryRepl string, ccfg core.Config, mut func(*Config)) *testNode {
+	t.Helper()
+	st, err := core.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,11 @@ func TestSessionPerServerIdentity(t *testing.T) {
 		t.Fatal("no session after handshake")
 	}
 
-	// Force the client onto B: every dial of A now fails, so the retry
-	// loop rotates to the next candidate.
+	// Force the client onto the other server: every dial of the one it
+	// is on now fails (it starts at a random candidate, not always A), so
+	// the retry loop rotates to the next candidate.
 	cl.mu.Lock()
-	cl.addrs[0] = "127.0.0.1:1" // unroutable stand-in for the dead A
+	cl.addrs[cl.addrIdx] = "127.0.0.1:1" // unroutable stand-in for the dead server
 	cc := cl.conn
 	cl.mu.Unlock()
 	cl.dropConn(cc, errors.New("test: server gone"))
