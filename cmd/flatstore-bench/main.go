@@ -63,17 +63,17 @@ func main() {
 	}
 
 	experiments := map[string]func(){
-		"fig1a":    fig1a,
-		"fig1b":    fig1b,
-		"fig1c":    fig1c,
-		"table1":   table1,
-		"fig7":     fig7,
-		"fig8":     fig8,
-		"fig9":     fig9,
-		"fig10":    fig10,
-		"fig11":    fig11,
-		"fig12":    fig12,
-		"fig13":    fig13,
+		"fig1a":     fig1a,
+		"fig1b":     fig1b,
+		"fig1c":     fig1c,
+		"table1":    table1,
+		"fig7":      fig7,
+		"fig8":      fig8,
+		"fig9":      fig9,
+		"fig10":     fig10,
+		"fig11":     fig11,
+		"fig12":     fig12,
+		"fig13":     fig13,
 		"recovery":  recovery,
 		"rpc":       rpcBench,
 		"groupsize": groupSize,

@@ -104,6 +104,10 @@ type Allocator struct {
 	classUsed [NumClasses]atomic.Int64
 
 	cores []*CoreAlloc
+
+	// poolHook, when set, runs after every change to the free pool
+	// (outside mu): the engine wakes its log cleaners on it.
+	poolHook func()
 }
 
 // New creates an allocator over chunks [firstChunk, firstChunk+nchunks) of
@@ -135,6 +139,17 @@ func New(arena *pmem.Arena, firstChunk, nchunks, ncores int) *Allocator {
 	return al
 }
 
+// SetPoolHook installs fn to run after every change to the free-chunk
+// pool. Install it before the allocator is shared between goroutines.
+func (al *Allocator) SetPoolHook(fn func()) { al.poolHook = fn }
+
+// poolChanged runs the pool hook, if any.
+func (al *Allocator) poolChanged() {
+	if al.poolHook != nil {
+		al.poolHook()
+	}
+}
+
 // Core returns core c's private allocation context.
 func (al *Allocator) Core(c int) *CoreAlloc { return al.cores[c] }
 
@@ -156,12 +171,14 @@ func (al *Allocator) chunkIndex(off int64) int {
 // popFree removes a free chunk from the pool.
 func (al *Allocator) popFree() (int, bool) {
 	al.mu.Lock()
-	defer al.mu.Unlock()
 	if len(al.free) == 0 {
+		al.mu.Unlock()
 		return 0, false
 	}
 	i := al.free[len(al.free)-1]
 	al.free = al.free[:len(al.free)-1]
+	al.mu.Unlock()
+	al.poolChanged()
 	return i, true
 }
 
@@ -240,6 +257,7 @@ func (al *Allocator) pushFree(i int) {
 	al.mu.Lock()
 	al.free = append(al.free, i)
 	al.mu.Unlock()
+	al.poolChanged()
 }
 
 // AllocRawChunk hands out one whole free chunk (used by the OpLog for log
@@ -386,6 +404,7 @@ func (c *CoreAlloc) allocHuge(size int, f *pmem.Flusher) (int64, error) {
 	if !ok {
 		return 0, ErrOutOfMemory
 	}
+	c.al.poolChanged()
 	off := c.al.chunkOff(start)
 	f.PersistUint64(off, magicHuge|uint64(n))
 	c.al.mu.Lock()

@@ -175,9 +175,9 @@ func TestMidFlightCrashAtomicity(t *testing.T) {
 			val  byte
 			size int
 		}
-		sent := map[uint64]meta{}  // reqID → payload identity
+		sent := map[uint64]meta{}    // reqID → payload identity
 		keyOf := map[uint64]uint64{} // reqID → key
-		acked := map[uint64]meta{} // key → last acked payload
+		acked := map[uint64]meta{}   // key → last acked payload
 
 		// Pump a few thousand async puts; stop mid-stream.
 		target := 2000 + round*500

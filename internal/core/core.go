@@ -72,6 +72,7 @@ type Core struct {
 	leadOps     []*batch.PendingOp
 	leadEntries []*oplog.Entry
 	leadOffs    []int64
+	leadOwners  []int // other cores owning entries of the batch being led
 
 	reads uint64 // PM reads (for the simulator's cost model)
 
@@ -105,6 +106,15 @@ func (c *Core) enqueueFree(ptr int64, size int) {
 	c.freeQ = append(c.freeQ, recFree{ptr, size})
 	c.freeMu.Unlock()
 	c.freeN.Add(1)
+	c.ring()
+}
+
+// ring wakes this core's polling loop if it is parked (no-op for a core
+// driven without a transport, e.g. by the simulator).
+func (c *Core) ring() {
+	if c.port != nil {
+		c.port.Bell().Ring()
+	}
 }
 
 // drainFrees releases queued record blocks on the owning core.
@@ -551,7 +561,7 @@ func (c *Core) promote(key uint64, coldRef int64, ver uint32, val []byte) {
 		c.st.tier.MarkDead(coldRef)
 		c.st.tier.NotePromoted(1)
 	} else {
-		c.st.usage.markDead(chunkOf(off), size)
+		c.st.markDead(chunkOf(off), size)
 	}
 }
 
@@ -749,6 +759,17 @@ func (c *Core) TryLeadOps() []*batch.PendingOp {
 	c.leadEntries = entries
 	offs, err := c.log.AppendBatchOffs(c.f, entries, c.leadOffs[:0])
 	c.leadOffs = offs[:0]
+	// Owners of stolen entries may be parked waiting for them (a core
+	// with nothing else to do parks while its own ops are in flight under
+	// another leader): note them now — an op is recycled by its owner as
+	// soon as it is Done — and ring them once every op is marked.
+	owners := c.leadOwners[:0]
+	for _, op := range ops {
+		if op.Owner != c.id && (len(owners) == 0 || owners[len(owners)-1] != op.Owner) {
+			owners = append(owners, op.Owner) // collected pool by pool: runs are contiguous
+		}
+	}
+	c.leadOwners = owners
 	if err != nil {
 		// Log space exhausted: fail the ops.
 		for _, op := range ops {
@@ -788,6 +809,9 @@ func (c *Core) TryLeadOps() []*batch.PendingOp {
 		}
 		c.met.NoteBatch(len(ops), own, int64(c.log.LastBatchBytes()))
 	}
+	for _, o := range owners {
+		c.st.cores[o].ring()
+	}
 	if c.group.Mode() == batch.ModeNaiveHB {
 		c.group.Unlock()
 	}
@@ -795,8 +819,12 @@ func (c *Core) TryLeadOps() []*batch.PendingOp {
 }
 
 // accountAppend records the new entry's bytes in the chunk usage table.
+// A first entry in a chunk means the log just closed its previous tail
+// chunk, which the group cleaner may now pick as a victim.
 func (c *Core) accountAppend(off int64, size int) {
-	c.st.usage.account(chunkOf(off), c.log, c.id, size)
+	if c.st.usage.account(chunkOf(off), c.log, c.id, size) {
+		c.st.ringCleaner(c.id)
+	}
 }
 
 // DrainCompleted finishes the volatile phase of every durable own op, in

@@ -64,12 +64,18 @@ func (cl *Cleaner) demotePressure() bool {
 	return free < st.cfg.Tier.DemoteFreeChunks || free < st.cfg.GC.MinFreeChunks
 }
 
+// lowSpaceDeadRatio is the victim garbage threshold once free space
+// falls below GC.MinFreeChunks (GC.DeadRatio applies otherwise).
+const lowSpaceDeadRatio = 0.05
+
 // pickVictim selects the dirtiest closed chunk owned by this group's
 // cores, honoring the configured dead ratio unless free space is low.
 // Under tier demotion pressure any closed chunk qualifies — an all-live
 // arena has nothing dead to drop, so the only way to free space is to
 // move live-but-cold data down a tier — and chunks that no Get has
 // touched since they closed (reads == 0) are preferred as the coldest.
+// Chunks the cleaner found barren are skipped until something that could
+// change the verdict happens (see barrenMark).
 func (cl *Cleaner) pickVictim() (int64, *chunkUsage) {
 	st := cl.st
 	lowSpace := st.al.FreeChunks() < st.cfg.GC.MinFreeChunks
@@ -78,11 +84,12 @@ func (cl *Cleaner) pickVictim() (int64, *chunkUsage) {
 	var best *chunkUsage
 	bestRatio := st.cfg.GC.DeadRatio
 	if lowSpace {
-		bestRatio = 0.05
+		bestRatio = lowSpaceDeadRatio
 	}
 	if demote {
 		bestRatio = -0.01
 	}
+	epoch := st.gcEpoch.Load()
 	st.usage.mu.Lock()
 	defer st.usage.mu.Unlock()
 	for chunk, cu := range st.usage.m {
@@ -93,9 +100,12 @@ func (cl *Cleaner) pickVictim() (int64, *chunkUsage) {
 			continue // never clean the chunk being appended to
 		}
 		cu.mu.Lock()
-		total, dead := cu.total, cu.dead
+		total, dead, b := cu.total, cu.dead, cu.barren
 		cu.mu.Unlock()
 		if total == 0 {
+			continue
+		}
+		if b.ok && b.dead == dead && b.epoch == epoch && (b.demote || !demote) {
 			continue
 		}
 		score := float64(dead) / float64(total)
@@ -124,7 +134,13 @@ type scanned struct {
 
 // CleanOnce reclaims at most one victim chunk. It returns the number of
 // entries processed (0 when there was nothing worth cleaning), so callers
-// can back off when idle.
+// can park when idle.
+//
+// A victim whose every entry is live and none demotable — typically a
+// chunk of tombstones still guarding older versions — is barren:
+// relocating it would copy a full chunk into a full chunk and gain
+// nothing, so it is marked and skipped until its dead bytes, gcEpoch, or
+// the demotion mode change.
 //
 // CleanOnce is idempotent up to its commit point: classification is
 // read-only and every registry mutation is deferred until the survivor
@@ -135,15 +151,30 @@ type scanned struct {
 // them, reclaim a tombstone while an older Put for its key is still in
 // the log, and resurrect the deleted key on the next crash recovery.
 func (cl *Cleaner) CleanOnce() int {
+	for {
+		victim, cu := cl.pickVictim()
+		if victim < 0 {
+			return 0
+		}
+		if n, ok := cl.clean(victim, cu); ok {
+			return n
+		}
+	}
+}
+
+// clean runs CleanOnce on one victim. It reports ok=false, having done
+// nothing but mark the chunk, when the victim is barren.
+func (cl *Cleaner) clean(victim int64, cu *chunkUsage) (int, bool) {
 	st := cl.st
 	// Metrics deltas: cleaners are one-per-group but share the registry's
 	// GC counters, so progress is published via atomic adds at the two
 	// exits that did real work.
 	r0, d0 := cl.relocated, cl.dropped
-	victim, cu := cl.pickVictim()
-	if victim < 0 {
-		return 0
-	}
+	epoch := st.gcEpoch.Load()
+	demote := cl.demotePressure()
+	cu.mu.Lock()
+	dead0 := cu.dead
+	cu.mu.Unlock()
 
 	// 1. Scan the victim and classify every entry under the owning
 	// core's index lock (read-only: registry effects apply in step 6).
@@ -153,7 +184,7 @@ func (cl *Cleaner) CleanOnce() int {
 		return true
 	})
 	if err != nil {
-		return 0
+		return 0, true
 	}
 	for i := range entries {
 		s := &entries[i]
@@ -188,7 +219,7 @@ func (cl *Cleaner) CleanOnce() int {
 	// it relocates as-is and the read path quarantines it.
 	var demoteIdx []int
 	var demoteRecs []tier.Rec
-	if cl.demotePressure() {
+	if demote {
 		for i := range entries {
 			s := &entries[i]
 			if !s.live || s.e.Op != oplog.OpPut {
@@ -206,6 +237,12 @@ func (cl *Cleaner) CleanOnce() int {
 			demoteIdx = append(demoteIdx, i)
 			demoteRecs = append(demoteRecs, tier.Rec{Key: s.e.Key, Ver: s.e.Version, Val: v})
 		}
+	}
+	if len(demoteRecs) == 0 && allLive(entries) {
+		cu.mu.Lock()
+		cu.barren = barrenMark{ok: true, dead: dead0, epoch: epoch, demote: demote}
+		cu.mu.Unlock()
+		return 0, false
 	}
 	var trefs []int64
 	if len(demoteRecs) > 0 {
@@ -243,7 +280,7 @@ func (cl *Cleaner) CleanOnce() int {
 			for _, tref := range trefs {
 				st.tier.MarkDead(tref)
 			}
-			return 0
+			return 0, true
 		}
 		// 3. Journal the survivor so a crash between here and the
 		// link cannot lose it, then link it into the chain.
@@ -261,7 +298,7 @@ func (cl *Cleaner) CleanOnce() int {
 				moved := oc.idx.CompareAndSwapRef(s.e.Key, s.off, offs[i])
 				oc.idxMu.Unlock()
 				if !moved {
-					st.usage.markDead(surv, size)
+					st.markDead(surv, size)
 				}
 			}
 			cl.relocated++
@@ -316,7 +353,7 @@ func (cl *Cleaner) CleanOnce() int {
 		cl.f.PersistUint64(journalOff(cl.group), 0)
 		cl.f.FlushEvents()
 		st.obs.NoteGC(0, cl.relocated-r0, cl.dropped-d0)
-		return len(entries)
+		return len(entries), true
 	}
 	// 6. The victim's entries have left the log for good: apply the
 	// deferred registry effects of the dropped ones.
@@ -325,12 +362,23 @@ func (cl *Cleaner) CleanOnce() int {
 	st.al.FreeRawChunk(victim, cl.f)
 	st.reclaimMu.Unlock()
 	st.usage.drop(victim)
+	st.gcEpoch.Add(1)
 	// 7. Clear the journal slot.
 	cl.f.PersistUint64(journalOff(cl.group), 0)
 	cl.f.FlushEvents()
 	cl.cleaned++
 	st.obs.NoteGC(1, cl.relocated-r0, cl.dropped-d0)
-	return len(entries)
+	return len(entries), true
+}
+
+// allLive reports whether every scanned entry is still live.
+func allLive(entries []scanned) bool {
+	for i := range entries {
+		if !entries[i].live {
+			return false
+		}
+	}
+	return true
 }
 
 // applyDropped applies the registry effects of the entries that left the

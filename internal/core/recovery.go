@@ -101,7 +101,6 @@ func (st *Store) resetVolatile() error {
 	if st.cfg.Index == IndexMasstree {
 		st.tree = masstree.New()
 	}
-	st.groups = nil
 	st.buildGroups()
 	st.cores = nil
 	for i := 0; i < st.cfg.Cores; i++ {

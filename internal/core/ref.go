@@ -204,7 +204,7 @@ func (c *Core) supersede(f *pmem.Flusher, key uint64, newRef int64, ver uint32, 
 	case !pmOld:
 		st.tier.MarkDead(oldRef)
 	default:
-		st.usage.markDead(chunkOf(oldRef), old.size)
+		st.markDead(chunkOf(oldRef), old.size)
 		switch {
 		case oldStatus == refCorrupt:
 			// A block whose record rotted is leaked, not freed through a

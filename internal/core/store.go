@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +44,17 @@ type Store struct {
 	obs *obs.Registry
 
 	rpc *rpc.Server
+
+	// cleanBells[g] wakes group g's parked cleaner: rung when the
+	// free-chunk pool changes, when a log chunk closes, and when a
+	// chunk's garbage ratio crosses a victim threshold.
+	cleanBells []*rpc.Doorbell
+	// gcEpoch counts events that can make a chunk the cleaner found
+	// barren (nothing to drop or demote) worth cleaning again without
+	// adding dead bytes to it: a victim's entries leaving the log
+	// (tombstone guards drop) and a cold-tier compaction (segment
+	// blooms shrink).
+	gcEpoch atomic.Uint64
 
 	// reclaimMu lets readers decode log entries without racing the
 	// cleaner's chunk frees: readers hold R, the cleaner holds W only
@@ -156,7 +166,14 @@ func (st *Store) TierCompactOnce() (bool, error) {
 	if st.tier == nil {
 		return false, nil
 	}
-	return st.tier.CompactOnce(st.cfg.Tier.CompactRatio, st.tierIsLive, st.tierRepoint)
+	ok, err := st.tier.CompactOnce(st.cfg.Tier.CompactRatio, st.tierIsLive, st.tierRepoint)
+	if ok {
+		// Fewer segment blooms may now admit a deleted key, so chunks of
+		// tombstones the cleaners found barren are worth another look.
+		st.gcEpoch.Add(1)
+		st.ringCleaners()
+	}
+	return ok, err
 }
 
 // tierIsLive answers compaction's liveness query: a cold record is live
@@ -178,14 +195,33 @@ func (st *Store) tierRepoint(key uint64, old, new int64) bool {
 	return c.idx.CompareAndSwapRef(key, old, new)
 }
 
+// buildGroups creates the HB groups and their cleaner doorbells, and hooks
+// the (freshly built) allocator's free-chunk pool to the cleaners.
 func (st *Store) buildGroups() {
 	n := (st.cfg.Cores + st.cfg.GroupSize - 1) / st.cfg.GroupSize
+	st.groups, st.cleanBells = nil, nil
 	for g := 0; g < n; g++ {
 		size := st.cfg.GroupSize
 		if r := st.cfg.Cores - g*st.cfg.GroupSize; r < size {
 			size = r
 		}
 		st.groups = append(st.groups, batch.NewGroup(st.cfg.Mode, size))
+		st.cleanBells = append(st.cleanBells, rpc.NewDoorbell())
+	}
+	st.al.SetPoolHook(st.ringCleaners)
+}
+
+// ringCleaner wakes the cleaner of core owner's group (a no-op unless it
+// is parked).
+func (st *Store) ringCleaner(owner int) {
+	st.cleanBells[owner/st.cfg.GroupSize].Ring()
+}
+
+// ringCleaners wakes every group's cleaner: the free-chunk pool changed,
+// which moves the low-space and demotion thresholds for all of them.
+func (st *Store) ringCleaners() {
+	for _, b := range st.cleanBells {
+		b.Ring()
 	}
 }
 
@@ -266,21 +302,6 @@ func (st *Store) Connect() *Client {
 	return &Client{st: st, c: st.rpc.Connect()}
 }
 
-// Idle backoff for the polling loops. A core that found no work spins
-// idleSpins iterations (yielding the processor each time, so an active
-// peer keeps the latency of a pure polling handoff) and then naps. The
-// nap is what keeps TCP latency sane on hosts with fewer processors than
-// goroutines: a runnable spinning goroutine starves the Go netpoller,
-// which is only consulted when the scheduler runs out of runnable work —
-// with every core busy-yielding, socket readiness is discovered on the
-// ~10ms sysmon tick instead of immediately. Sleeping cores unblock the
-// netpoller, so an incoming frame is picked up within idleNap instead.
-// Under load a core always finds work and never naps.
-const (
-	idleSpins = 128
-	idleNap   = 20 * time.Microsecond
-)
-
 // Run starts the server-core goroutines and, if configured, the per-group
 // cleaners. It returns immediately; Close stops everything. Safe to call
 // concurrently with Stop and Stats.
@@ -291,27 +312,16 @@ func (st *Store) Run() {
 		return
 	}
 	st.running = true
+	// Core and cleaner loops poll while they find work and park on
+	// their doorbell the moment they do not (see rpc.Doorbell): no spin,
+	// no nap. A parked goroutine leaves the scheduler free to block in
+	// the netpoller, so socket readiness is noticed at once.
+	stop := st.stop
 	for _, c := range st.cores {
 		st.stopped.Add(1)
 		go func(c *Core) {
 			defer st.stopped.Done()
-			idle := 0
-			for {
-				select {
-				case <-st.stop:
-					return
-				default:
-				}
-				if c.Step() {
-					idle = 0
-					continue
-				}
-				if idle++; idle < idleSpins {
-					runtime.Gosched()
-				} else {
-					time.Sleep(idleNap)
-				}
-			}
+			runIdle(c.port.Bell(), stop, c.Step)
 		}(c)
 	}
 	if st.cfg.GC.Enabled {
@@ -320,23 +330,7 @@ func (st *Store) Run() {
 			go func(g int) {
 				defer st.stopped.Done()
 				cl := st.newCleaner(g)
-				idle := 0
-				for {
-					select {
-					case <-st.stop:
-						return
-					default:
-					}
-					if cl.CleanOnce() > 0 {
-						idle = 0
-						continue
-					}
-					if idle++; idle < idleSpins {
-						runtime.Gosched()
-					} else {
-						time.Sleep(idleNap)
-					}
-				}
+				runIdle(st.cleanBells[g], stop, func() bool { return cl.CleanOnce() > 0 })
 			}(g)
 		}
 	}
@@ -371,6 +365,22 @@ func (st *Store) Run() {
 				}
 			}
 		}()
+	}
+}
+
+// runIdle runs step until stop closes, parking on bell whenever a step
+// finds no work. The parked re-check is one more step: work published
+// before it is done by it, and work published after it rings the bell.
+func runIdle(bell *rpc.Doorbell, stop <-chan struct{}, step func() bool) {
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		if !step() && !bell.Park(stop, step) {
+			return
+		}
 	}
 }
 
@@ -562,31 +572,72 @@ type chunkUsage struct {
 	// while tiering is enabled) — the access signal demotion uses to
 	// prefer never-read chunks.
 	reads atomic.Int64
+	// barren records the last time the cleaner found this chunk had
+	// nothing to drop or demote (ok set): the dead bytes and gcEpoch it
+	// saw, and whether demotion was on. Guarded by mu.
+	barren barrenMark
 }
 
-func (u *usageTable) account(chunk int64, log *oplog.Log, owner int, size int) {
+// barrenMark is a chunk's "nothing to gain" verdict and the state it was
+// reached in.
+type barrenMark struct {
+	ok     bool
+	dead   int64
+	epoch  uint64
+	demote bool
+}
+
+// account charges size live bytes to chunk, reporting whether this is the
+// chunk's first entry — for a log append, that means the log just rolled
+// over and closed its previous tail chunk.
+func (u *usageTable) account(chunk int64, log *oplog.Log, owner int, size int) (fresh bool) {
 	u.mu.Lock()
 	cu := u.m[chunk]
 	if cu == nil {
 		cu = &chunkUsage{log: log, owner: owner}
 		u.m[chunk] = cu
+		fresh = true
 	}
 	u.mu.Unlock()
 	cu.mu.Lock()
 	cu.total += int64(size)
 	cu.mu.Unlock()
+	return fresh
 }
 
-func (u *usageTable) markDead(chunk int64, size int) {
+// markDead charges size dead bytes to chunk. It reports the owning core
+// and whether the chunk's garbage ratio just crossed a victim threshold
+// (lowSpaceDeadRatio or deadRatio), i.e. whether the chunk may have
+// become worth cleaning.
+func (u *usageTable) markDead(chunk int64, size int, deadRatio float64) (owner int, crossed bool) {
 	u.mu.Lock()
 	cu := u.m[chunk]
 	u.mu.Unlock()
 	if cu == nil {
-		return
+		return 0, false
 	}
 	cu.mu.Lock()
+	before := cu.dead
 	cu.dead += int64(size)
+	crossed = crosses(before, cu.dead, cu.total, lowSpaceDeadRatio) ||
+		crosses(before, cu.dead, cu.total, deadRatio)
 	cu.mu.Unlock()
+	return cu.owner, crossed
+}
+
+// crosses reports whether dead bytes going from before to after crossed
+// ratio of total.
+func crosses(before, after, total int64, ratio float64) bool {
+	lim := ratio * float64(total)
+	return float64(before) < lim && float64(after) >= lim
+}
+
+// markDead charges dead bytes to chunk, waking the owning group's cleaner
+// when the chunk crosses a victim threshold.
+func (st *Store) markDead(chunk int64, size int) {
+	if owner, crossed := st.usage.markDead(chunk, size, st.cfg.GC.DeadRatio); crossed {
+		st.ringCleaner(owner)
+	}
 }
 
 func (u *usageTable) noteRead(chunk int64) {

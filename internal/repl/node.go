@@ -95,12 +95,12 @@ type Node struct {
 	remoteTail      uint64
 	remoteTailEpoch uint64
 	hist            *history
-	primaryRepl  string // follower: where to fetch from
-	primaryServe string // follower: the primary's client address (for redirects)
-	fetchers     map[*fetcher]struct{}
-	notify       chan struct{} // closed+replaced on any state advance (broadcast)
-	needsReset   bool          // sticky: diverged beyond automatic recovery
-	closed       bool
+	primaryRepl     string // follower: where to fetch from
+	primaryServe    string // follower: the primary's client address (for redirects)
+	fetchers        map[*fetcher]struct{}
+	notify          chan struct{} // closed+replaced on any state advance (broadcast)
+	needsReset      bool          // sticky: diverged beyond automatic recovery
+	closed          bool
 
 	lis         net.Listener
 	conns       map[net.Conn]struct{}

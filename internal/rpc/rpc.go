@@ -233,11 +233,17 @@ type Server struct {
 	draining atomic.Bool
 
 	delRings []*delRing // one per core, drained by the agent
+
+	// bells[i] wakes server core i's polling loop: rung by request
+	// sends into its message buffers and, for the agent, by delegated
+	// responses (see Doorbell).
+	bells []*Doorbell
 }
 
 // drainGrace is how long a blocked response push waits for a poller once
-// the server is draining before giving up (pollers nap at most tens of
-// microseconds between polls, so this is orders of magnitude of slack).
+// the server is draining before giving up (every push rings the poller's
+// doorbell, and a woken poller drains within microseconds, so this is
+// orders of magnitude of slack).
 const drainGrace = 50 * time.Millisecond
 
 // SetDraining toggles shutdown mode (see the draining field).
@@ -251,9 +257,11 @@ func NewServer(ncores, agent int) *Server {
 		agent:    agent,
 		mu:       make(chan struct{}, 1),
 		delRings: make([]*delRing, ncores),
+		bells:    make([]*Doorbell, ncores),
 	}
 	for i := range s.delRings {
 		s.delRings[i] = &delRing{}
+		s.bells[i] = NewDoorbell()
 	}
 	return s
 }
@@ -273,6 +281,9 @@ type Client struct {
 	resps  *respRing
 	next   atomic.Uint64 // request id generator
 	closed atomic.Bool
+	// bell wakes the client's response poller; the agent rings it after
+	// every delivery.
+	bell *Doorbell
 }
 
 // Connect attaches a new client (one queue pair). Ids of detached clients
@@ -285,6 +296,7 @@ func (s *Server) Connect() *Client {
 		s:     s,
 		reqs:  make([]*reqRing, s.ncores),
 		resps: &respRing{},
+		bell:  NewDoorbell(),
 	}
 	for i := range c.reqs {
 		c.reqs[i] = &reqRing{}
@@ -343,6 +355,17 @@ func (s *Server) Stats() Stats {
 // ID returns the client's id.
 func (c *Client) ID() int { return c.id }
 
+// Bell is the doorbell the client's response poller parks on: every
+// response delivered into the client's ring rings it. Callers that queue
+// other work for the same poller may ring it too.
+func (c *Client) Bell() *Doorbell { return c.bell }
+
+// HasResponses reports whether a completed response is waiting — the
+// re-check a poller hands to Doorbell.Park.
+func (c *Client) HasResponses() bool {
+	return c.resps.head.Load() != c.resps.tail.Load()
+}
+
 // Send posts a request to a specific server core's message buffer (the
 // client-side RDMA write). It reports false if the ring is full — the
 // client must poll completions first, like a full send queue. A request
@@ -359,6 +382,7 @@ func (c *Client) Send(core int, req Request) bool {
 		return false
 	}
 	c.s.requests.Add(1)
+	c.s.bells[core].Ring()
 	return true
 }
 
@@ -379,10 +403,14 @@ func (c *Client) SendBatch(core int, reqs []Request) int {
 		}
 		if !r.push(reqs[i]) {
 			c.s.requests.Add(uint64(i))
+			if i > 0 {
+				c.s.bells[core].Ring()
+			}
 			return i
 		}
 	}
 	c.s.requests.Add(uint64(len(reqs)))
+	c.s.bells[core].Ring()
 	return len(reqs)
 }
 
@@ -414,6 +442,11 @@ type CorePort struct {
 
 // Port returns core i's endpoint.
 func (s *Server) Port(core int) *CorePort { return &CorePort{s: s, core: core} }
+
+// Bell is the doorbell core i's polling loop parks on. Besides the
+// transport's own producers, engine code that hands the core other work
+// (deferred frees, completed batch entries) rings it.
+func (p *CorePort) Bell() *Doorbell { return p.s.bells[p.core] }
 
 // Poll returns the next pending request from any client's ring for this
 // core (round-robin across clients, like scanning the message buffers).
@@ -466,6 +499,7 @@ func (p *CorePort) Respond(client int, resp Response) {
 		}
 		runtime.Gosched()
 	}
+	s.bells[s.agent].Ring()
 }
 
 // deliver performs the agent-side MMIO write into the client's response
@@ -504,6 +538,7 @@ func (s *Server) deliver(client int, resp Response) {
 		}
 		runtime.Gosched() // client must poll completions
 	}
+	cl.bell.Ring()
 }
 
 // DrainDelegated transmits delegated responses from every core; only the

@@ -54,16 +54,13 @@ func (cc *clientConn) batchTrip(ctx context.Context, ops []request, d time.Durat
 	}
 	for got := 0; got < len(ops); {
 		select {
-		case rs, ok := <-ch:
-			if !ok {
-				// Closed by fail — buffered responses were drained first,
-				// so everything that arrived has been delivered.
+		case rs := <-ch:
+			if rs.lost {
+				// Released by fail — it sends after every response that
+				// arrived, so everything that arrived has been delivered.
 				cc.mu.Lock()
 				err := cc.err
 				cc.mu.Unlock()
-				if err == nil {
-					err = ErrTimeout
-				}
 				return err
 			}
 			deliver(rs)

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"flatstore/internal/bufpool"
 	"flatstore/internal/core"
 	"flatstore/internal/obs"
 	"flatstore/internal/stats"
@@ -379,26 +380,18 @@ func (cc *clientConn) alive() bool {
 }
 
 // fail marks the connection dead, closes the socket (unblocking the
-// readLoop), and releases every waiter. Idempotent. A batch registers
-// many ids against one shared channel, so closes are deduped through a
-// seen-set.
+// readLoop), and releases every waiter by delivering a lost response for
+// each still-pending id. Channels are never closed: the single-call ones
+// are pooled and reused. Every id registered against a channel has a
+// slot in it and delivers at most once, so the sends cannot block.
+// Idempotent.
 func (cc *clientConn) fail(err error) {
 	cc.mu.Lock()
 	if cc.err == nil {
 		cc.err = err
-		var seen map[chan response]struct{}
-		if len(cc.pend) > 1 {
-			seen = make(map[chan response]struct{}, len(cc.pend))
-		}
 		for id, ch := range cc.pend {
 			delete(cc.pend, id)
-			if seen != nil {
-				if _, dup := seen[ch]; dup {
-					continue
-				}
-				seen[ch] = struct{}{}
-			}
-			close(ch)
+			ch <- response{id: id, lost: true}
 		}
 	}
 	cc.mu.Unlock()
@@ -409,17 +402,12 @@ func (cc *clientConn) fail(err error) {
 // late response for the id is dropped by the readLoop.
 func (cc *clientConn) forget(id uint64) {
 	cc.mu.Lock()
-	if ch, ok := cc.pend[id]; ok {
-		close(ch)
-		delete(cc.pend, id)
-	}
+	delete(cc.pend, id)
 	cc.mu.Unlock()
 }
 
 // forgetIDs abandons a batch attempt's still-pending ids; late responses
-// for them are dropped by the readLoop. Unlike forget, the shared
-// channel is left open — the abandoning caller is its only receiver and
-// has stopped receiving, and fail dedupes closes for whatever remains.
+// for them are dropped by the readLoop.
 func (cc *clientConn) forgetIDs(ch chan response, ops []request) {
 	cc.mu.Lock()
 	for i := range ops {
@@ -433,15 +421,26 @@ func (cc *clientConn) forgetIDs(ch chan response, ops []request) {
 func (cc *clientConn) readLoop(br *bufio.Reader) {
 	defer close(cc.readerDone)
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrameBuf(br)
 		if err != nil {
 			cc.fail(fmt.Errorf("tcp: connection lost: %w", err))
 			return
 		}
 		rs, err := decodeResponse(payload)
 		if err != nil {
+			bufpool.Put(payload)
 			cc.fail(err)
 			return
+		}
+		// The frame goes back to the pool unless scan pairs alias it. A
+		// value escapes to the API caller, so it moves to an exact-size
+		// copy: handing out the pooled frame instead would leave up to
+		// twice the value's bytes behind as garbage.
+		if len(rs.pairs) == 0 {
+			if rs.value != nil {
+				rs.value = append([]byte(nil), rs.value...)
+			}
+			bufpool.Put(payload)
 		}
 		// Deliver while holding mu: the send cannot block (each id's
 		// channel has capacity for every id registered against it, and
@@ -458,17 +457,64 @@ func (cc *clientConn) readLoop(br *bufio.Reader) {
 	}
 }
 
+// waiter is one sync round trip's completion slot: the 1-buffered
+// channel the readLoop (or fail) delivers into, and the attempt's
+// deadline timer. Waiters are pooled, so a sync call allocates neither.
+type waiter struct {
+	ch chan response
+	t  *time.Timer
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan response, 1), t: t}
+}}
+
+// arm starts the deadline timer and returns its channel (nil, never
+// firing, when d is not positive).
+func (w *waiter) arm(d time.Duration) <-chan time.Time {
+	if d <= 0 {
+		return nil
+	}
+	w.t.Reset(d)
+	return w.t.C
+}
+
+// reset readies w for its next use. The caller must have removed w's id
+// from the pending table, so nothing can deliver into w.ch any more. The
+// timer is stopped and drained: with pre-Go 1.23 timer semantics (go.mod
+// says 1.22) a fire that raced the response stays buffered in t.C and
+// would otherwise expire the next call at once. A response that raced a
+// timeout is drained the same way.
+func (w *waiter) reset() {
+	if !w.t.Stop() {
+		select {
+		case <-w.t.C:
+		default:
+		}
+	}
+	select {
+	case <-w.ch:
+	default:
+	}
+}
+
 // roundTrip sends one attempt of one request and waits for its response,
 // the per-request deadline, or ctx cancellation.
 func (cc *clientConn) roundTrip(ctx context.Context, q request, d time.Duration) (response, error) {
-	ch := make(chan response, 1)
+	w := waiterPool.Get().(*waiter)
+	defer func() {
+		w.reset()
+		waiterPool.Put(w)
+	}()
 	cc.mu.Lock()
 	if cc.err != nil {
 		err := cc.err
 		cc.mu.Unlock()
 		return response{}, err
 	}
-	cc.pend[q.id] = ch
+	cc.pend[q.id] = w.ch
 	cc.mu.Unlock()
 
 	cc.wmu.Lock()
@@ -485,28 +531,19 @@ func (cc *clientConn) roundTrip(ctx context.Context, q request, d time.Duration)
 		return response{}, err
 	}
 
-	var expire <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		expire = t.C
-	}
 	select {
-	case rs, ok := <-ch:
-		if !ok {
+	case rs := <-w.ch:
+		if rs.lost {
 			cc.mu.Lock()
 			err := cc.err
 			cc.mu.Unlock()
-			if err == nil {
-				err = ErrTimeout // forgotten by a racing attempt
-			}
 			return response{}, err
 		}
 		return rs, nil
 	case <-ctx.Done():
 		cc.forget(q.id)
 		return response{}, ctx.Err()
-	case <-expire:
+	case <-w.arm(d):
 		cc.forget(q.id)
 		return response{}, ErrTimeout
 	}

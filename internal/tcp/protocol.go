@@ -39,9 +39,11 @@ import (
 // single-bit and burst-≤32 errors).
 //
 // Handshake (server → client on connect):
+//
 //	u64 magic, u32 cores, u64 serverID
 //
 // Hello (client → server, immediately after the handshake):
+//
 //	u64 magic, u64 session
 //
 // The session id names the client across reconnects: the server keys its
@@ -53,10 +55,12 @@ import (
 // nothing of it) after a redirect or failover.
 //
 // Request:
+//
 //	u8 op, u32 core, u64 id, u64 key, u64 scanHi, u32 limit,
 //	u32 vlen, vlen bytes
 //
 // Batch request (first byte opBatch):
+//
 //	u8 opBatch, u32 count, count × request
 //
 // Each sub-request uses the exact single-request encoding above and is
@@ -65,6 +69,7 @@ import (
 // the pipelined client packs MultiGet/MultiPut/MultiDelete into.
 //
 // Response:
+//
 //	u64 id, u8 status, u32 vlen, vlen bytes,
 //	u32 npairs, npairs × (u64 key, u32 vlen, vlen bytes)
 //
@@ -109,6 +114,9 @@ type response struct {
 	status uint8
 	value  []byte
 	pairs  []pair
+	// lost is client-side only, never on the wire: the connection failed
+	// before the server answered (see clientConn.fail).
+	lost bool
 }
 
 // writeU32 emits v little-endian via WriteByte, which (unlike passing a

@@ -17,14 +17,7 @@ import (
 	"flatstore/internal/rpc"
 )
 
-// Writer idle backoff, mirroring the engine cores' (see core/store.go):
-// spin briefly with Gosched for latency, then nap so the runtime can
-// actually block on the netpoller instead of discovering socket
-// readiness on the ~10ms sysmon tick.
 const (
-	writerIdleSpins = 128
-	writerIdleNap   = 20 * time.Microsecond
-
 	// writerMaxDrain bounds how many responses one write cycle encodes
 	// before it must flush, so response coalescing cannot add unbounded
 	// latency under sustained load.
@@ -350,16 +343,20 @@ func (s *Server) Close() error {
 }
 
 // localQueue carries responses the reader generates without touching the
-// engine (busy sheds, dedup-cached acks) to the connection's writer.
+// engine (busy sheds, dedup-cached acks) to the connection's writer,
+// ringing the writer's doorbell (the RPC client's response bell) so a
+// parked writer picks them up.
 type localQueue struct {
-	mu sync.Mutex
-	q  []response
+	mu   sync.Mutex
+	q    []response
+	bell *rpc.Doorbell
 }
 
 func (l *localQueue) push(rs response) {
 	l.mu.Lock()
 	l.q = append(l.q, rs)
 	l.mu.Unlock()
+	l.bell.Ring()
 }
 
 // take swaps the queued responses out, installing spare (a recycled
@@ -426,8 +423,8 @@ func (s *Server) handle(conn net.Conn) {
 
 	cl := s.st.Connect().Raw()
 	done := make(chan struct{})
-	var outstanding atomic.Int64 // unanswered engine requests on this conn
-	var lq localQueue            // reader-generated responses (shed/dedup)
+	var outstanding atomic.Int64      // unanswered engine requests on this conn
+	lq := localQueue{bell: cl.Bell()} // reader-generated responses (shed/dedup)
 
 	// armWrite sets the slow-client write deadline for the next write
 	// burst; a client that stops reading makes the deadline fire, which
@@ -438,7 +435,9 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}
 
-	// Writer: poll the in-process client and push frames out. It must
+	// Writer: poll the in-process client and push frames out, parking on
+	// the client's response bell (rung by every engine delivery and
+	// every localQueue push) when there is nothing to write. It must
 	// keep polling until every outstanding request has completed, even
 	// after the socket dies — otherwise the engine's agent core would
 	// spin forever trying to deliver into a full response ring. Once
@@ -461,8 +460,13 @@ func (s *Server) handle(conn net.Conn) {
 			respBuf  []rpc.Response
 			locSpare []response
 			enc      []byte
-			idle     int
 		)
+		bell := cl.Bell()
+		ready := func() bool { return cl.HasResponses() || !lq.empty() }
+		// readerDone is done until the reader is seen to exit; then nil,
+		// so the parked writer waits on the bell alone while it drains
+		// the last outstanding completions.
+		readerDone := (<-chan struct{})(done)
 		for {
 			loc := lq.take(locSpare)
 			wrote := 0
@@ -511,26 +515,19 @@ func (s *Server) handle(conn net.Conn) {
 				}
 			}
 			if len(loc) == 0 && wrote == 0 {
-				select {
-				case <-done:
-					if outstanding.Load() == 0 && lq.empty() {
-						return
-					}
-				default:
-				}
-				if idle++; idle < writerIdleSpins {
-					runtime.Gosched()
-				} else {
-					time.Sleep(writerIdleNap)
-				}
 				// Recycle even the empty take: locSpare must always be
 				// the buffer that is NOT installed in lq, or the next
 				// take would hand back the very slice the reader is
 				// appending into.
 				locSpare = loc
+				if readerDone == nil && outstanding.Load() == 0 && lq.empty() {
+					return
+				}
+				if !bell.Park(readerDone, ready) {
+					readerDone = nil
+				}
 				continue
 			}
-			idle = 0
 			if !armed {
 				armWrite()
 			}
